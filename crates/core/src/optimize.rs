@@ -331,14 +331,19 @@ fn best_node_for_group(input: &OptimizeInput<'_>, group: &[StateVar]) -> NodeId 
     }
     let candidates: Vec<NodeId> = topo.nodes().collect();
     if flows.is_empty() {
-        // Nothing constrains the group; put it on the most central switch.
+        // Nothing constrains the group; put it on the most central switch:
+        // fewest unreachable switches first, then the smallest hop sum.
         return candidates
             .iter()
             .copied()
             .min_by_key(|&n| {
                 topo.nodes()
-                    .map(|m| topo.distance(n, m).unwrap_or(usize::MAX / 2))
-                    .sum::<usize>()
+                    .fold((0usize, 0usize), |(unreachable, hops), m| {
+                        match topo.distance(n, m) {
+                            Some(d) => (unreachable, hops + d),
+                            None => (unreachable + 1, hops),
+                        }
+                    })
             })
             .unwrap_or(NodeId(0));
     }

@@ -53,13 +53,13 @@
 
 use crate::exec::{
     misplaced_state_error, missing_placement_error, process_at_switch, read_outport,
-    strip_snap_header, InFlight, NextHops, Progress, SimError, StepOutcome, StoreLease,
+    strip_snap_header, InFlight, Progress, SimError, StepOutcome, StoreLease,
 };
 use crate::metrics::PlaneTelemetry;
 use crate::shards::StateShards;
 use snap_lang::{Packet, StateVar, Value};
 use snap_telemetry::{HopRecord, LocalHistogram, PacketTrace};
-use snap_topology::{NodeId as SwitchId, PortId, Topology};
+use snap_topology::{NodeId as SwitchId, PortId, ShortestPaths, Topology};
 use snap_xfdd::{FlatId, FlatProgram, TableProgram};
 use std::collections::BTreeSet;
 
@@ -260,24 +260,26 @@ thread_local! {
         std::cell::RefCell::new(WaveScratch::default());
 }
 
-/// The generic packet driver: topology, precomputed next hops and the hop
+/// The generic packet driver: topology, its shortest-path table and the hop
 /// budget — everything the dispatch loop needs that is not view resolution
 /// or egress delivery. Both planes build one per injection call; it borrows
-/// and costs nothing to construct.
+/// the topology's cached table, so it costs nothing to construct once the
+/// table exists.
 pub struct Driver<'a> {
     topology: &'a Topology,
-    next_hops: &'a NextHops,
+    routes: &'a ShortestPaths,
     hop_budget: usize,
     metrics: Option<&'a PlaneTelemetry>,
 }
 
 impl<'a> Driver<'a> {
-    /// A driver over a topology with a precomputed next-hop table and a hop
-    /// budget.
-    pub fn new(topology: &'a Topology, next_hops: &'a NextHops, hop_budget: usize) -> Driver<'a> {
+    /// A driver over a topology and a hop budget. Fetches the topology's
+    /// shortest-path table once (computing it on the topology's first
+    /// query).
+    pub fn new(topology: &'a Topology, hop_budget: usize) -> Driver<'a> {
         Driver {
             topology,
-            next_hops,
+            routes: topology.shortest_paths(),
             hop_budget,
             metrics: None,
         }
@@ -562,7 +564,7 @@ impl<'a> Driver<'a> {
                     // The packet can only be forwarded until it reaches the
                     // owner, so jump there in one step (full hop count
                     // charged) instead of re-entering the wave loop per hop.
-                    match self.next_hops.jump_towards(&mut tagged.flight, owner) {
+                    match self.jump_towards(&mut tagged.flight, owner) {
                         Ok(()) => next.push(tagged),
                         Err(e) => results[tagged.origin] = Err(e.into()),
                     }
@@ -762,7 +764,7 @@ impl<'a> Driver<'a> {
             // would spin in place forever.
             return Err(bad_port().into());
         }
-        self.next_hops.jump_towards(&mut tagged.flight, target)?;
+        self.jump_towards(&mut tagged.flight, target)?;
         if tagged.flight.hops > self.hop_budget {
             return Err(SimError::HopBudgetExceeded.into());
         }
@@ -803,6 +805,28 @@ impl<'a> Driver<'a> {
         if target == flight.at {
             return Err(SimError::BadOutPort(Value::Int(port.0 as i64)));
         }
-        self.next_hops.jump_towards(flight, target)
+        self.jump_towards(flight, target)
+    }
+
+    /// Fast-forward an in-flight packet all the way to a target switch,
+    /// charging the full shortest-path hop count in one step.
+    ///
+    /// Behaviorally identical to forwarding one hop per wave until arrival
+    /// — intermediate switches could only have forwarded the packet again
+    /// (its progress is parked at a state test another switch owns, or it
+    /// is done and travelling to egress), and the hop-budget check is
+    /// monotone in the hop count, so charging the hops up front trips the
+    /// budget exactly when per-hop stepping would have.
+    fn jump_towards(&self, flight: &mut InFlight, target: SwitchId) -> Result<(), SimError> {
+        if flight.at == target {
+            return Ok(());
+        }
+        let d = self
+            .routes
+            .distance(flight.at, target)
+            .ok_or(SimError::HopBudgetExceeded)?;
+        flight.at = target;
+        flight.hops += d;
+        Ok(())
     }
 }

@@ -13,9 +13,9 @@
 //! ([`StoreLease`] — commuting writes buffer lock-free replica deltas,
 //! exact accesses lock only the key's shard, at most one shard guard is
 //! held at a time so leases cannot deadlock, and lock contention is
-//! counted on the [`StateShards`] themselves), the precomputed
-//! shortest-path next-hop table ([`NextHops`]) and the small packet-header
-//! helpers.
+//! counted on the [`StateShards`] themselves) and the small packet-header
+//! helpers. Shortest-path forwarding reads the topology's own table
+//! ([`snap_topology::ShortestPaths`]) from the driver.
 //!
 //! The process-wide `store_lock_acquisitions` / `wave_prefix_stats`
 //! statics that used to live here are gone: they were shared by every
@@ -28,7 +28,7 @@ use crate::shards::StateShards;
 use parking_lot::MutexGuard;
 use snap_lang::{EvalError, Expr, Field, Packet, StateVar, Store, Value};
 use snap_telemetry::HopRecord;
-use snap_topology::{NodeId as SwitchId, PortId, Topology};
+use snap_topology::{NodeId as SwitchId, PortId};
 use snap_xfdd::{Action, FlatId, FlatNode, FlatProgram, StateClass, TableProgram, Test};
 use std::collections::BTreeSet;
 
@@ -473,119 +473,6 @@ pub fn process_at_switch<'p>(
                 return Ok(StepOutcome::Emit(outport));
             }
         }
-    }
-}
-
-/// The first hop of a shortest path for every switch pair, precomputed once
-/// so per-packet forwarding is two array loads instead of a BFS per hop.
-#[derive(Clone, Debug)]
-pub struct NextHops {
-    /// `table[from][to]`: the first hop of a shortest path.
-    table: Vec<Vec<Option<SwitchId>>>,
-    /// `dist[from][to]`: hop distance along that path (`usize::MAX` when
-    /// unreachable). Lets the driver fast-forward a packet whose remaining
-    /// journey is pure forwarding in one jump instead of one wave per hop.
-    dist: Vec<Vec<usize>>,
-}
-
-impl NextHops {
-    /// Precompute the table for a topology.
-    pub fn compute(topology: &Topology) -> NextHops {
-        let n = topology.num_nodes();
-        // Reverse adjacency: dist_to[t][u] is the hop distance from u to t,
-        // computed by a BFS from t over reversed links.
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for u in topology.nodes() {
-            for &(v, _) in topology.neighbors(u) {
-                rev[v.0].push(u.0);
-            }
-        }
-        let mut next = vec![vec![None; n]; n];
-        let mut dists = vec![vec![usize::MAX; n]; n];
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        for t in 0..n {
-            dist.fill(usize::MAX);
-            dist[t] = 0;
-            queue.clear();
-            queue.push_back(t);
-            while let Some(u) = queue.pop_front() {
-                let d = dist[u];
-                for &w in &rev[u] {
-                    if dist[w] == usize::MAX {
-                        dist[w] = d + 1;
-                        queue.push_back(w);
-                    }
-                }
-            }
-            for u in topology.nodes() {
-                dists[u.0][t] = dist[u.0];
-                if u.0 == t || dist[u.0] == usize::MAX {
-                    continue;
-                }
-                // First neighbor strictly closer to t: deterministic and on
-                // a shortest path, so hop counts match a per-hop BFS.
-                next[u.0][t] = topology
-                    .neighbors(u)
-                    .iter()
-                    .map(|&(v, _)| v)
-                    .find(|v| dist[v.0] == dist[u.0] - 1);
-            }
-        }
-        NextHops {
-            table: next,
-            dist: dists,
-        }
-    }
-
-    /// The first hop from `from` towards `to`, if `to` is reachable.
-    #[inline]
-    pub fn hop(&self, from: SwitchId, to: SwitchId) -> Option<SwitchId> {
-        self.table[from.0][to.0]
-    }
-
-    /// Hop distance of the shortest path, if `to` is reachable from `from`.
-    #[inline]
-    pub fn distance(&self, from: SwitchId, to: SwitchId) -> Option<usize> {
-        match self.dist[from.0][to.0] {
-            usize::MAX => None,
-            d => Some(d),
-        }
-    }
-
-    /// Advance an in-flight packet one hop towards a target switch.
-    /// Reaching the target (or already being there) is not a hop.
-    pub fn forward_towards(&self, flight: &mut InFlight, target: SwitchId) -> Result<(), SimError> {
-        if flight.at == target {
-            return Ok(());
-        }
-        let hop = self
-            .hop(flight.at, target)
-            .ok_or(SimError::HopBudgetExceeded)?;
-        flight.at = hop;
-        flight.hops += 1;
-        Ok(())
-    }
-
-    /// Fast-forward an in-flight packet all the way to a target switch,
-    /// charging the full shortest-path hop count in one step.
-    ///
-    /// Behaviorally identical to calling [`NextHops::forward_towards`] once
-    /// per wave until arrival — intermediate switches could only have
-    /// forwarded the packet again (its progress is parked at a state test
-    /// another switch owns, or it is done and travelling to egress), and the
-    /// hop-budget check is monotone in the hop count, so charging the hops
-    /// up front trips the budget exactly when per-hop stepping would have.
-    pub fn jump_towards(&self, flight: &mut InFlight, target: SwitchId) -> Result<(), SimError> {
-        if flight.at == target {
-            return Ok(());
-        }
-        let d = self
-            .distance(flight.at, target)
-            .ok_or(SimError::HopBudgetExceeded)?;
-        flight.at = target;
-        flight.hops += d;
-        Ok(())
     }
 }
 

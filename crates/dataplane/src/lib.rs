@@ -55,7 +55,7 @@ pub mod traffic;
 
 pub use driver::{BatchResults, Driver, EgressSink, HopView, ViewResolver};
 pub use egress::{EgressEvent, EgressQueues, DEFAULT_QUEUE_CAPACITY};
-pub use exec::{InFlight, NextHops, Progress, SimError, StepOutcome, StoreLease};
+pub use exec::{InFlight, Progress, SimError, StepOutcome, StoreLease};
 pub use metrics::{export_egress, export_shards, PlaneTelemetry};
 pub use netasm::{Instruction, NetAsmProgram};
 pub use network::{BatchOutput, ConfigSnapshot, Network, QueuedBatchOutput, SwitchConfig};

@@ -41,7 +41,6 @@ use std::sync::Arc;
 
 use crate::driver::{Driver, EgressSink, HopView, ViewResolver};
 use crate::egress::EgressQueues;
-use crate::exec::NextHops;
 pub use crate::exec::SimError;
 use crate::metrics::{export_shards, PlaneTelemetry};
 use crate::shards::{StateShards, DEFAULT_STATE_SHARDS};
@@ -217,10 +216,8 @@ pub struct BatchOutput {
 /// The distributed network: an immutable topology, an atomically-swappable
 /// [`ConfigSnapshot`] and sharded per-switch state.
 pub struct Network {
+    /// The switch graph; its cached shortest-path table serves forwarding.
     topology: Topology,
-    /// First hop of a shortest path per switch pair, precomputed once so
-    /// per-packet forwarding is two array loads instead of a BFS.
-    next_hop: NextHops,
     /// The current snapshot. The mutex guards only the `Arc` pointer: a
     /// reader clones it and drops the lock, so the critical section is a
     /// refcount bump — nobody holds it across packet processing, let alone
@@ -253,11 +250,9 @@ impl Network {
             .keys()
             .map(|&n| (n, Arc::new(StateShards::new(DEFAULT_STATE_SHARDS))))
             .collect();
-        let next_hop = NextHops::compute(&topology);
         let telemetry = Some(PlaneTelemetry::new(Telemetry::new(), &topology));
         Network {
             topology,
-            next_hop,
             snapshot: Mutex::new(Arc::new(ConfigSnapshot {
                 configs: indexed.map,
                 flat: indexed.flat,
@@ -480,11 +475,9 @@ impl Network {
         out
     }
 
-    /// The shared packet driver over this network's topology, next-hop
-    /// table and hop budget.
+    /// The shared packet driver over this network's topology and hop budget.
     fn driver(&self) -> Driver<'_> {
-        Driver::new(&self.topology, &self.next_hop, self.hop_budget)
-            .with_metrics(self.telemetry.as_deref())
+        Driver::new(&self.topology, self.hop_budget).with_metrics(self.telemetry.as_deref())
     }
 
     /// Inject a packet at an OBS external port and run it to completion

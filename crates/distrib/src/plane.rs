@@ -21,7 +21,7 @@
 use crate::agent::{EpochView, SwitchAgent};
 use snap_dataplane::driver::{Driver, EgressSink, HopView, ViewResolver};
 use snap_dataplane::egress::EgressEvent;
-use snap_dataplane::exec::{NextHops, SimError};
+use snap_dataplane::exec::SimError;
 use snap_dataplane::metrics::{export_egress, export_shards, PlaneTelemetry};
 use snap_dataplane::{StateShards, TargetBatch, TrafficTarget};
 use snap_lang::{Packet, StateVar, Store};
@@ -88,10 +88,10 @@ pub struct InjectOutcome {
     pub backpressure_drops: usize,
 }
 
-/// A distributed network: topology, next-hop table, one agent per switch.
+/// A distributed network: topology (whose cached shortest-path table
+/// serves forwarding), one agent per switch.
 pub struct DistNetwork {
     topology: Topology,
-    next_hops: NextHops,
     agents: BTreeMap<SwitchId, Arc<SwitchAgent>>,
     hop_budget: usize,
     /// This plane's telemetry handles; shared with the controller by
@@ -191,11 +191,9 @@ impl EgressSink for AgentQueueSink<'_> {
 impl DistNetwork {
     /// A network over a set of agents.
     pub fn new(topology: Topology, agents: BTreeMap<SwitchId, Arc<SwitchAgent>>) -> DistNetwork {
-        let next_hops = NextHops::compute(&topology);
         let telemetry = Some(PlaneTelemetry::new(Telemetry::new(), &topology));
         DistNetwork {
             topology,
-            next_hops,
             agents,
             hop_budget: snap_dataplane::network::DEFAULT_HOP_BUDGET,
             telemetry,
@@ -355,8 +353,8 @@ impl DistNetwork {
                 })
                 .collect(),
         };
-        let driver = Driver::new(&self.topology, &self.next_hops, self.hop_budget)
-            .with_metrics(self.telemetry.as_deref());
+        let driver =
+            Driver::new(&self.topology, self.hop_budget).with_metrics(self.telemetry.as_deref());
         let results = driver.run_batch(&resolver, &mut sink, batch);
         results
             .into_iter()

@@ -1,9 +1,11 @@
 //! The physical network topology: switches, directed capacitated links and
 //! the external (OBS) ports where traffic enters and leaves the network.
 
+use crate::paths::ShortestPaths;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A physical switch in the topology.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -39,6 +41,10 @@ pub struct Topology {
     /// lookup should be an array load, not a tree walk. Ports at or above
     /// [`DENSE_PORT_LIMIT`] simply fall back to the map.
     port_cache: Vec<Option<NodeId>>,
+    /// The all-pairs shortest-path table, built on first query, shared by
+    /// clones and reset whenever a switch or link is added.
+    #[serde(skip)]
+    routes: OnceLock<Arc<ShortestPaths>>,
 }
 
 /// Port numbers below this get a slot in the dense port-to-switch cache.
@@ -58,6 +64,7 @@ impl Topology {
         let id = NodeId(self.names.len());
         self.names.push(name.into());
         self.adj.push(Vec::new());
+        self.routes.take();
         id
     }
 
@@ -66,6 +73,7 @@ impl Topology {
         let idx = self.links.len();
         self.links.push(Link { from, to, capacity });
         self.adj[from.0].push((to, idx));
+        self.routes.take();
     }
 
     /// Add links in both directions with the same capacity.
@@ -181,36 +189,17 @@ impl Topology {
         count == self.num_nodes()
     }
 
+    /// The all-pairs shortest-path table, computed on first use and shared
+    /// by every clone of this topology until a switch or link is added.
+    pub fn shortest_paths(&self) -> &Arc<ShortestPaths> {
+        self.routes
+            .get_or_init(|| Arc::new(ShortestPaths::compute(self)))
+    }
+
     /// Shortest path (minimum hop count) between two switches, including both
     /// endpoints. Returns `None` when unreachable.
     pub fn shortest_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        if from == to {
-            return Some(vec![from]);
-        }
-        let mut prev: Vec<Option<NodeId>> = vec![None; self.num_nodes()];
-        let mut seen = vec![false; self.num_nodes()];
-        let mut queue = VecDeque::from([from]);
-        seen[from.0] = true;
-        while let Some(n) = queue.pop_front() {
-            for &(m, _) in &self.adj[n.0] {
-                if !seen[m.0] {
-                    seen[m.0] = true;
-                    prev[m.0] = Some(n);
-                    if m == to {
-                        let mut path = vec![to];
-                        let mut cur = to;
-                        while let Some(p) = prev[cur.0] {
-                            path.push(p);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(m);
-                }
-            }
-        }
-        None
+        self.path_through(from, &[], to)
     }
 
     /// Shortest path that visits `waypoints` in order, starting at `from` and
@@ -221,38 +210,12 @@ impl Topology {
         waypoints: &[NodeId],
         to: NodeId,
     ) -> Option<Vec<NodeId>> {
-        let mut stops = Vec::with_capacity(waypoints.len() + 2);
-        stops.push(from);
-        stops.extend_from_slice(waypoints);
-        stops.push(to);
-        let mut path: Vec<NodeId> = vec![from];
-        for pair in stops.windows(2) {
-            let leg = self.shortest_path(pair[0], pair[1])?;
-            path.extend_from_slice(&leg[1..]);
-        }
-        Some(path)
+        self.shortest_paths().path_through(from, waypoints, to)
     }
 
     /// Hop distance between two switches (`None` when unreachable).
     pub fn distance(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        self.shortest_path(from, to).map(|p| p.len() - 1)
-    }
-
-    /// All-pairs hop distances from one source (BFS).
-    pub fn distances_from(&self, from: NodeId) -> Vec<Option<usize>> {
-        let mut dist = vec![None; self.num_nodes()];
-        dist[from.0] = Some(0);
-        let mut queue = VecDeque::from([from]);
-        while let Some(n) = queue.pop_front() {
-            let d = dist[n.0].unwrap();
-            for &(m, _) in &self.adj[n.0] {
-                if dist[m.0].is_none() {
-                    dist[m.0] = Some(d + 1);
-                    queue.push_back(m);
-                }
-            }
-        }
-        dist
+        self.shortest_paths().distance(from, to)
     }
 
     /// The switches holding external ports (the "edge" switches).
@@ -308,8 +271,6 @@ mod tests {
         assert_eq!(t.distance(a, c), Some(2));
         assert_eq!(t.shortest_path(a, a), Some(vec![a]));
         assert_eq!(t.distance(a, a), Some(0));
-        let d = t.distances_from(a);
-        assert_eq!(d, vec![Some(0), Some(1), Some(2)]);
     }
 
     #[test]
@@ -332,6 +293,28 @@ mod tests {
         // A waypoint equal to the source works.
         let p = t.path_through(a, &[a], c).unwrap();
         assert_eq!(p, vec![a, b, c]);
+    }
+
+    #[test]
+    fn route_table_is_cached_shared_and_reset() {
+        let (mut t, a, b, c) = line3();
+        let first = Arc::clone(t.shortest_paths());
+        assert!(Arc::ptr_eq(&first, t.shortest_paths()));
+        assert!(Arc::ptr_eq(&first, t.clone().shortest_paths()));
+        assert_eq!(t.distance(a, c), Some(2));
+        // A new link must never be answered from the stale table.
+        t.add_link(a, c, 10.0);
+        assert_eq!(t.distance(a, c), Some(1));
+        assert_eq!(t.shortest_path(a, c), Some(vec![a, c]));
+        assert!(!Arc::ptr_eq(&first, t.shortest_paths()));
+        // Nor a new switch.
+        let d = t.add_node("d");
+        assert_eq!(t.distance(a, d), None);
+        assert_eq!(t.distance(d, d), Some(0));
+        t.add_link(c, d, 10.0);
+        assert_eq!(t.path_through(a, &[b], d), Some(vec![a, b, c, d]));
+        // The table's contents stay out of `Debug`.
+        assert!(!format!("{t:?}").contains("first_hop"));
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //!
 //! * [`Topology`] — switches, directed capacitated links, OBS external ports,
 //!   shortest-path queries.
+//! * [`ShortestPaths`] — the all-pairs hop-distance and first-hop table
+//!   behind those queries, computed once per topology.
 //! * [`generators`] — the Figure 2 campus topology, random enterprise/ISP-like
 //!   topologies with the switch/edge counts of Table 5, and IGen-like
 //!   topologies for the scaling experiment of Figure 10.
@@ -24,8 +26,10 @@
 
 pub mod generators;
 pub mod graph;
+pub mod paths;
 pub mod traffic;
 
 pub use generators::{campus, igen_topology, random_topology, RandomTopologySpec};
 pub use graph::{Link, NodeId, PortId, Topology};
+pub use paths::ShortestPaths;
 pub use traffic::TrafficMatrix;
