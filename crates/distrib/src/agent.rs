@@ -16,6 +16,14 @@
 //! * its **sharded state plane** ([`snap_dataplane::StateShards`]) and
 //!   bounded per-port **egress queues** ([`snap_dataplane::EgressQueues`]).
 //!
+//! It shares a **program cache** ([`ProgramCache`]) with the other agents
+//! of its deployment: since every switch runs the same diagram, the first
+//! agent to stage a program flattens and table-compiles it, and the rest
+//! reuse that result. The cache keys programs by a digest of the wire
+//! payloads behind the agent's mirror, so sharing it never requires
+//! trusting the other agents' mirrors to match. An agent built alone (a
+//! test's, or one per process under `tcp-proc`) has a private cache.
+//!
 //! The two-phase protocol does all expensive work in *prepare* (delta
 //! decode, re-intern, flatten — off the packet path's critical flip) and
 //! makes *commit* a pointer swap plus the release of migrated tables. A
@@ -33,10 +41,13 @@ use snap_lang::StateVar;
 use snap_topology::{NodeId as SwitchId, PortId};
 use snap_xfdd::{
     apply_delta, decode_delta_fresh, FlatProgram, NodeId as PoolNodeId, Pool, TableProgram,
+    WireError,
 };
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// How many committed epochs an agent keeps resolvable for in-flight
@@ -44,41 +55,162 @@ use std::time::Duration;
 /// many commits is a stray.
 pub const EPOCH_HISTORY: usize = 8;
 
-/// How many flattened programs an agent caches by root (see
-/// [`SwitchAgent`]'s flatten cache). Rollbacks and A/B flips revisit recent
-/// roots; anything deeper is a cold program that costs one flatten.
+/// How many compiled programs a deployment's [`ProgramCache`] keeps. The
+/// bound is per cache, hence per deployment: every agent of an in-process
+/// or loopback-TCP deployment shares one. Rollbacks and A/B flips revisit
+/// recent roots; anything deeper is a cold program that costs one flatten.
 pub const FLAT_CACHE_CAP: usize = 16;
 
-/// A FIFO-bounded cache of flatten results, keyed by the program's root in
-/// the mirror pool. Sound because the mirror is append-only: under one
-/// numbering, a root id names exactly one program, so a rollback or an A/B
-/// flip back to a recent root can skip the whole flatten + table compile.
-/// Cleared whenever the numbering changes (resync, dropped mirror).
-#[derive(Default)]
-struct FlatCache {
-    entries: BTreeMap<PoolNodeId, (Arc<FlatProgram>, Arc<TableProgram>)>,
-    order: VecDeque<PoolNodeId>,
+/// A compiled program: the flat lowering and its dispatch tables.
+type Compiled = (Arc<FlatProgram>, Arc<TableProgram>);
+
+/// A 128-bit chain hash over the wire payloads a mirror was built from:
+/// `H(fresh, payload)` on a fresh decode, `H(prev, payload)` per applied
+/// delta. Two differently seeded SipHash passes, so a collision needs both
+/// 64-bit halves to collide at once. Decoding is deterministic, so equal
+/// digests mean equal payload sequences and node-for-node equal mirrors,
+/// whoever applied them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct Digest([u64; 2]);
+
+impl Digest {
+    fn chain(prev: Option<Digest>, payload: &[u8]) -> Digest {
+        let pass = |seed: u64| {
+            let mut hasher = DefaultHasher::new();
+            seed.hash(&mut hasher);
+            prev.hash(&mut hasher);
+            payload.hash(&mut hasher);
+            hasher.finish()
+        };
+        Digest([pass(0x736e_6170_5f61), pass(0x736e_6170_5f62)])
+    }
 }
 
-impl FlatCache {
-    fn get(&self, root: PoolNodeId) -> Option<(Arc<FlatProgram>, Arc<TableProgram>)> {
-        self.entries.get(&root).cloned()
+/// The agent's copy of the distribution pool, plus where it came from.
+struct Mirror {
+    pool: Pool,
+    /// The chain digest of every payload applied since the last fresh
+    /// decode.
+    digest: Digest,
+    /// `(pool length, digest)` after each payload that appended nodes, in
+    /// order. The mirror is append-only, so the prefix a checkpoint names
+    /// never changes afterwards: a root is keyed by the first checkpoint
+    /// that holds it, and a flip back to it later (after other payloads
+    /// extended the chain) finds the same key.
+    checkpoints: Vec<(usize, Digest)>,
+}
+
+impl Mirror {
+    fn fresh(payload: &[u8]) -> Result<(Mirror, PoolNodeId), WireError> {
+        let (pool, root) = decode_delta_fresh(payload)?;
+        let digest = Digest::chain(None, payload);
+        let checkpoints = vec![(pool.len(), digest)];
+        let mirror = Mirror {
+            pool,
+            digest,
+            checkpoints,
+        };
+        Ok((mirror, root))
     }
 
-    fn insert(&mut self, root: PoolNodeId, flat: Arc<FlatProgram>, tables: Arc<TableProgram>) {
-        if self.entries.insert(root, (flat, tables)).is_none() {
-            self.order.push_back(root);
-            while self.order.len() > FLAT_CACHE_CAP {
-                if let Some(evict) = self.order.pop_front() {
-                    self.entries.remove(&evict);
-                }
+    /// Apply a suffix delta. On error the pool may hold a partial suffix
+    /// and must be dropped.
+    fn apply(&mut self, payload: &[u8]) -> Result<PoolNodeId, WireError> {
+        let before = self.pool.len();
+        let root = apply_delta(payload, &mut self.pool)?;
+        self.digest = Digest::chain(Some(self.digest), payload);
+        if self.pool.len() > before {
+            self.checkpoints.push((self.pool.len(), self.digest));
+        }
+        Ok(root)
+    }
+
+    /// The digest of the smallest checkpointed prefix holding `root`.
+    fn key(&self, root: PoolNodeId) -> ProgramKey {
+        let first = self
+            .checkpoints
+            .partition_point(|&(len, _)| len <= root.index());
+        let (_, digest) = self
+            .checkpoints
+            .get(first)
+            .expect("the last checkpoint spans the mirror, which holds every decoded root");
+        (*digest, root)
+    }
+}
+
+/// A program's cache key: the digest of a mirror prefix and the root in it.
+type ProgramKey = (Digest, PoolNodeId);
+
+/// One cache entry: set once by whichever agent stages the program first,
+/// waited on by every other agent staging it meanwhile.
+type Slot = Arc<OnceLock<Compiled>>;
+
+/// The flattened and table-compiled programs of a deployment, shared by
+/// its agents. Every switch executes the same xFDD over its own state, so
+/// a compiled program belongs to the program, not to the switch: the
+/// first agent to stage a root flattens it from its own mirror, and the
+/// others wait on that slot and reuse the result (single flight).
+///
+/// Entries are keyed by a digest of the wire payloads that built the
+/// mirror prefix holding the root, not by the root alone. An agent that
+/// shares the cache is therefore only ever served a program its own mirror
+/// would have produced: a resync, a compaction that renumbers the pool, or
+/// a second controller in the same process keys its roots apart.
+/// FIFO-bounded at [`FLAT_CACHE_CAP`].
+#[derive(Default)]
+pub struct ProgramCache {
+    slots: Mutex<Slots>,
+    builds: AtomicU64,
+}
+
+#[derive(Default)]
+struct Slots {
+    map: BTreeMap<ProgramKey, Slot>,
+    order: VecDeque<ProgramKey>,
+}
+
+impl Slots {
+    /// The slot under `key`, inserted empty (evicting the oldest entry
+    /// past [`FLAT_CACHE_CAP`]) if absent.
+    fn slot(&mut self, key: ProgramKey) -> Slot {
+        if let Some(slot) = self.map.get(&key) {
+            return Arc::clone(slot);
+        }
+        let slot = Slot::default();
+        self.map.insert(key, Arc::clone(&slot));
+        self.order.push_back(key);
+        while self.order.len() > FLAT_CACHE_CAP {
+            if let Some(evict) = self.order.pop_front() {
+                self.map.remove(&evict);
             }
         }
+        slot
+    }
+}
+
+impl ProgramCache {
+    /// An empty cache.
+    pub fn new() -> ProgramCache {
+        ProgramCache::default()
     }
 
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+    /// How many programs this cache has flattened and table-compiled.
+    pub fn builds(&self) -> u64 {
+        self.builds.load(Ordering::Relaxed)
+    }
+
+    /// The program under `key`, built by `build` unless another agent
+    /// built it or is building it. Also returns whether this call built.
+    /// The slot map is locked only to find the slot, never while building.
+    fn get_or_build(&self, key: ProgramKey, build: impl FnOnce() -> Compiled) -> (Compiled, bool) {
+        let slot = self.slots.lock().slot(key);
+        let mut built = false;
+        let compiled = slot.get_or_init(|| {
+            built = true;
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            build()
+        });
+        (compiled.clone(), built)
     }
 }
 
@@ -86,12 +218,14 @@ impl FlatCache {
 pub struct EpochView {
     /// The configuration epoch this view belongs to.
     pub epoch: u64,
-    /// The program, flattened from the agent's mirror. Identical (same
-    /// dense ids) on every agent of the same epoch.
+    /// The program, flattened from the agent's mirror (or from a peer's
+    /// node-for-node equal one, through the shared [`ProgramCache`]).
+    /// Identical (same dense ids) on every agent of the same epoch.
     pub flat: Arc<FlatProgram>,
-    /// The table compilation of `flat`. Never shipped: each agent rebuilds
-    /// it from its own flat program in prepare, and because the flat ids
-    /// agree across agents, so do the tables.
+    /// The table compilation of `flat`. Never shipped: it is compiled in
+    /// prepare from the flat program, once per [`ProgramCache`] (so once per
+    /// in-process deployment, once per agent process over `tcp-proc`), and
+    /// because the flat ids agree across agents, so do the tables.
     pub tables: Arc<TableProgram>,
     /// State variables this switch owns under this epoch.
     pub local_vars: BTreeSet<StateVar>,
@@ -139,8 +273,9 @@ pub struct AgentStats {
     pub nodes_appended: AtomicU64,
     /// Migrated tables adopted.
     pub tables_installed: AtomicU64,
-    /// Prepares that reused a cached flatten (rollback / A/B flip to a
-    /// recently staged root) instead of re-flattening the mirror.
+    /// Prepares that did not flatten: the program came out of the
+    /// [`ProgramCache`], staged earlier by this agent (a rollback or A/B
+    /// flip to a recent root) or by another agent sharing the cache.
     pub flat_cache_hits: AtomicU64,
 }
 
@@ -152,10 +287,10 @@ pub struct SwitchAgent {
     /// after a failed delta left it untrusted. Separate from `core` so the
     /// expensive prepare work (delta decode, re-intern, flatten) never
     /// blocks the packet path, which only locks `core` to resolve views.
-    mirror: Mutex<Option<Pool>>,
-    /// Flatten results by root, for revisited programs (locked after
-    /// `mirror` when both are held).
-    flat_cache: Mutex<FlatCache>,
+    mirror: Mutex<Option<Mirror>>,
+    /// Compiled programs, possibly shared with the other agents of a
+    /// deployment. Its map lock is taken after `mirror`, and briefly.
+    programs: Arc<ProgramCache>,
     core: Mutex<AgentCore>,
     store: StateShards,
     egress: EgressQueues,
@@ -179,7 +314,7 @@ impl SwitchAgent {
             switch,
             name: name.into(),
             mirror: Mutex::new(None),
-            flat_cache: Mutex::new(FlatCache::default()),
+            programs: Arc::new(ProgramCache::new()),
             core: Mutex::new(AgentCore {
                 current: None,
                 views: BTreeMap::new(),
@@ -202,6 +337,18 @@ impl SwitchAgent {
     pub fn with_ack_delay(mut self, delay: Duration) -> SwitchAgent {
         self.ack_delay = Some(delay);
         self
+    }
+
+    /// Share `programs` instead of the agent's private cache — how a
+    /// deployment flattens each program once rather than once per agent.
+    pub fn with_program_cache(mut self, programs: Arc<ProgramCache>) -> SwitchAgent {
+        self.programs = programs;
+        self
+    }
+
+    /// The cache this agent stages compiled programs through.
+    pub fn program_cache(&self) -> &Arc<ProgramCache> {
+        &self.programs
     }
 
     /// The switch this agent manages.
@@ -231,7 +378,7 @@ impl SwitchAgent {
 
     /// The number of nodes in the agent's mirror pool (0 before a sync).
     pub fn mirror_len(&self) -> usize {
-        self.mirror.lock().as_ref().map_or(0, Pool::len)
+        self.mirror.lock().as_ref().map_or(0, |m| m.pool.len())
     }
 
     /// The running configuration, if any epoch has committed.
@@ -338,15 +485,12 @@ impl SwitchAgent {
         let before = if prep.resync {
             0
         } else {
-            guard.as_ref().map_or(0, Pool::len)
+            guard.as_ref().map_or(0, |m| m.pool.len())
         };
         let root = if prep.resync {
-            match decode_delta_fresh(&prep.delta) {
-                Ok((pool, root)) => {
-                    *guard = Some(pool);
-                    // A resync renumbers the mirror: cached flatten results
-                    // keyed by old-numbering roots are meaningless now.
-                    self.flat_cache.lock().clear();
+            match Mirror::fresh(&prep.delta) {
+                Ok((mirror, root)) => {
+                    *guard = Some(mirror);
                     self.stats.resyncs.fetch_add(1, Ordering::Relaxed);
                     root
                 }
@@ -356,38 +500,32 @@ impl SwitchAgent {
             let Some(mirror) = guard.as_mut() else {
                 return fail(&self.stats, "no mirror: agent was never synced".into());
             };
-            match apply_delta(&prep.delta, mirror) {
+            match mirror.apply(&prep.delta) {
                 Ok(root) => root,
                 Err(e) => {
                     // A failed apply may have left partial suffix nodes
                     // behind; drop the mirror so the controller resyncs.
                     *guard = None;
-                    self.flat_cache.lock().clear();
                     return fail(&self.stats, format!("delta rejected: {e}"));
                 }
             }
         };
         let mirror = guard.as_ref().expect("mirror just (re)built");
-        let new_nodes = (mirror.len() - before) as u64;
+        let new_nodes = (mirror.pool.len() - before) as u64;
 
-        // Flatten here, in prepare: commit must be a pointer flip. Revisited
-        // roots (rollbacks, A/B flips) come out of the flatten cache — the
-        // append-only mirror guarantees a root id still names the same
-        // program.
+        // Flatten here, in prepare: commit must be a pointer flip. The
+        // program cache serves roots this agent or a peer with an equal
+        // mirror prefix already staged (see `ProgramCache`).
         let (flat, tables) = {
-            let mut cache = self.flat_cache.lock();
-            match cache.get(root) {
-                Some(hit) => {
-                    self.stats.flat_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    hit
-                }
-                None => {
-                    let flat = Arc::new(FlatProgram::from_pool(mirror, root));
-                    let tables = Arc::new(TableProgram::compile(&flat));
-                    cache.insert(root, Arc::clone(&flat), Arc::clone(&tables));
-                    (flat, tables)
-                }
+            let (compiled, built) = self.programs.get_or_build(mirror.key(root), || {
+                let flat = Arc::new(FlatProgram::from_pool(&mirror.pool, root));
+                let tables = Arc::new(TableProgram::compile(&flat));
+                (flat, tables)
+            });
+            if !built {
+                self.stats.flat_cache_hits.fetch_add(1, Ordering::Relaxed);
             }
+            compiled
         };
         drop(guard);
 

@@ -16,7 +16,9 @@
 //!   node-for-node (so dense flat ids — the §4.5 packet tags — agree across
 //!   all switches), stages updates on *prepare* and flips on *commit*,
 //!   keeping a short ring of epoch views for in-flight packets. State
-//!   tables move with their owner through yield/install messages.
+//!   tables move with their owner through yield/install messages. The
+//!   agents of one deployment share a [`ProgramCache`], so each shipped
+//!   program is flattened and table-compiled once, not once per switch.
 //! * The **two-phase epoch protocol** preserves the invariant that no
 //!   packet mixes two configurations: commit is only ordered after every
 //!   agent staged the epoch, and packets resolve their ingress-stamped
@@ -73,7 +75,7 @@ pub mod plane;
 pub mod tcp;
 pub mod transport;
 
-pub use agent::{AgentStats, EpochView, SwitchAgent, EPOCH_HISTORY, FLAT_CACHE_CAP};
+pub use agent::{AgentStats, EpochView, ProgramCache, SwitchAgent, EPOCH_HISTORY, FLAT_CACHE_CAP};
 pub use controller::{CommitReport, Controller, DistribError, DistribOptions, MuxStats};
 pub use plane::{DistNetwork, InjectError, InjectOutcome};
 pub use tcp::{TcpAgentEndpoint, TcpControllerEndpoint, TcpTransportListener};
@@ -124,7 +126,8 @@ pub struct DeployOptions {
 }
 
 /// Deploy one [`SwitchAgent`] per switch of the session's topology on its
-/// own thread, linked to a [`Controller`] over in-process channels.
+/// own thread, linked to a [`Controller`] over in-process channels. The
+/// agents share one [`ProgramCache`].
 /// `queue_capacity` bounds each agent's per-port egress queues.
 pub fn deploy_in_process(session: CompilerSession, queue_capacity: usize) -> InProcessDeployment {
     deploy_in_process_with(session, queue_capacity, DistribOptions::default())
@@ -166,6 +169,7 @@ pub fn deploy_in_process_custom(
     let mut controller = Controller::new(session)
         .with_options(deploy.distrib)
         .with_telemetry(telemetry.clone());
+    let programs = Arc::new(ProgramCache::new());
     let mut agents: BTreeMap<SwitchId, Arc<SwitchAgent>> = BTreeMap::new();
     let mut handles = Vec::new();
     for switch in topology.nodes() {
@@ -174,7 +178,8 @@ pub fn deploy_in_process_custom(
             topology.node_name(switch),
             ports_per_switch.remove(&switch).unwrap_or_default(),
             queue_capacity,
-        );
+        )
+        .with_program_cache(Arc::clone(&programs));
         if let Some(delay) = deploy.ack_delay {
             agent = agent.with_ack_delay(delay);
         }
@@ -200,7 +205,8 @@ pub fn deploy_in_process_custom(
 /// controller's reply mux. Same processes, real sockets — the protocol
 /// exercised end to end is exactly what two separate processes speak (see
 /// `examples/distrib_campus.rs --transport tcp-proc` for the
-/// multi-process form).
+/// multi-process form). The agents still share one [`ProgramCache`], as
+/// they share this process.
 pub fn deploy_tcp(
     session: CompilerSession,
     queue_capacity: usize,
@@ -217,6 +223,7 @@ pub fn deploy_tcp(
         .with_telemetry(telemetry.clone());
     let listener = TcpTransportListener::bind(("127.0.0.1", 0))?;
     let addr = listener.local_addr()?;
+    let programs = Arc::new(ProgramCache::new());
     let mut agents: BTreeMap<SwitchId, Arc<SwitchAgent>> = BTreeMap::new();
     let mut handles = Vec::new();
     for switch in topology.nodes() {
@@ -225,7 +232,8 @@ pub fn deploy_tcp(
             topology.node_name(switch),
             ports_per_switch.remove(&switch).unwrap_or_default(),
             queue_capacity,
-        );
+        )
+        .with_program_cache(Arc::clone(&programs));
         if let Some(delay) = deploy.ack_delay {
             agent = agent.with_ack_delay(delay);
         }

@@ -1,16 +1,17 @@
 //! Reply-mux and pipelining tests: stale acks from burned epochs, duplicate
 //! acks, prepare failures racing other agents' acks, commit-failure cascade
-//! aborts, measured pipeline overlap, the agent-side flatten cache, and the
-//! TCP transport end to end.
+//! aborts, measured pipeline overlap, the deployment-wide program cache, and
+//! the TCP transport end to end.
 
 use snap_core::SolverChoice;
 use snap_distrib::{
     channel_link, deploy_in_process, deploy_in_process_custom, deploy_tcp, Controller,
-    DeployOptions, DistribError, FromAgent, ReplyTx, SwitchAgent,
+    DeployOptions, DistribError, FromAgent, InProcessDeployment, ReplyTx, SwitchAgent,
 };
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
-use snap_topology::{generators::campus, PortId, TrafficMatrix};
+use snap_topology::generators::{campus, igen_topology};
+use snap_topology::{PortId, TrafficMatrix};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -314,37 +315,92 @@ fn pipelined_epoch_cascade_aborts_when_previous_commit_fails() {
     forwarder.join().unwrap();
 }
 
-/// Flipping back to a recently staged program skips the flatten: the
-/// agent's root-keyed cache serves it.
+/// The soak's detection pipeline at threshold `t` on a 24-switch ISP
+/// topology: a program large enough that a per-agent flatten would show.
+fn isp_session() -> (CompilerSession, impl Fn(i64) -> Policy) {
+    let topo = igen_topology(24, 7);
+    let egress = topo.external_ports().count().min(16);
+    let tm = TrafficMatrix::gravity(&topo, 600.0, 7);
+    let session = CompilerSession::new(topo, tm).with_solver(SolverChoice::Heuristic);
+    let pipeline = move |t: i64| {
+        snap_apps::port_monitoring()
+            .seq(snap_apps::dns_tunnel_detect(t))
+            .seq(snap_apps::heavy_hitter_detection(50 + t))
+            .seq(snap_apps::assign_egress(egress))
+    };
+    (session, pipeline)
+}
+
+/// Drive a bootstrap, a novel edit, a flip back and a reroute through a
+/// deployment and check that its agents share one program cache that
+/// flattened (and table-compiled) exactly once per novel program: the
+/// bootstrap once, the edit once, the flip back to a working-set root and
+/// the reroute (same program, new traffic matrix) not at all.
+fn assert_one_flatten_per_novel_program(
+    mut deployment: InProcessDeployment,
+    pipeline: impl Fn(i64) -> Policy,
+) {
+    let agents: Vec<Arc<SwitchAgent>> = deployment.network.agents().cloned().collect();
+    let cache = Arc::clone(agents[0].program_cache());
+    assert!(
+        agents
+            .iter()
+            .all(|a| Arc::ptr_eq(a.program_cache(), &cache)),
+        "every agent of a deployment stages through one cache"
+    );
+    let controller = &mut deployment.controller;
+
+    let boot = controller.update_policy(&pipeline(3)).unwrap();
+    assert_eq!(boot.resyncs, agents.len());
+    assert_eq!(cache.builds(), 1, "bootstrap: one flatten for the fleet");
+
+    let edit = controller.update_policy(&pipeline(4)).unwrap();
+    assert!(edit.new_nodes > 0, "the edit must be a novel program");
+    assert_eq!(cache.builds(), 2, "novel edit: one flatten for the fleet");
+
+    // Back to the bootstrap program: the same root in the append-only
+    // mirror, so every agent is served the cached program.
+    let flip = controller.update_policy(&pipeline(3)).unwrap();
+    assert_eq!(flip.new_nodes, 0);
+    assert_eq!(cache.builds(), 2, "flip back to a working-set root");
+
+    let topo = controller.session().topology().clone();
+    let reroute = controller
+        .update_traffic(TrafficMatrix::gravity(&topo, 900.0, 11))
+        .unwrap()
+        .expect("a compiled program to reroute");
+    assert_eq!(reroute.new_nodes, 0);
+    assert_eq!(cache.builds(), 2, "reroute of the same program");
+
+    // Per agent: four prepares, and across the fleet exactly the two
+    // builds missed the cache.
+    let relaxed = std::sync::atomic::Ordering::Relaxed;
+    let (prepares, hits) = agents.iter().fold((0, 0), |(p, h), a| {
+        (
+            p + a.stats().prepares.load(relaxed),
+            h + a.stats().flat_cache_hits.load(relaxed),
+        )
+    });
+    assert_eq!(prepares, 4 * agents.len() as u64);
+    assert_eq!(prepares - hits, 2);
+    deployment.shutdown();
+}
+
+/// In process, each program is flattened once per deployment: flipping
+/// back to a recently staged program skips the flatten everywhere.
 #[test]
 fn rollback_prepare_hits_the_flatten_cache() {
-    let mut deployment = deploy_in_process(campus_session(), 64);
-    deployment
-        .controller
-        .update_policy(&counting_policy(6))
-        .unwrap();
-    deployment
-        .controller
-        .update_policy(&counting_policy(1))
-        .unwrap();
-    // Rollback: same program as epoch 1, hence the same root in the
-    // append-only mirror — every agent must hit its flatten cache.
-    deployment
-        .controller
-        .update_policy(&counting_policy(6))
-        .unwrap();
-    for agent in deployment.network.agents() {
-        assert!(
-            agent
-                .stats()
-                .flat_cache_hits
-                .load(std::sync::atomic::Ordering::Relaxed)
-                >= 1,
-            "agent {} re-flattened a cached root",
-            agent.name()
-        );
-    }
-    deployment.shutdown();
+    let (session, pipeline) = isp_session();
+    assert_one_flatten_per_novel_program(deploy_in_process(session, 64), pipeline);
+}
+
+/// Over loopback TCP the agents still live in one process and share one
+/// cache: the same exact flatten counts.
+#[test]
+fn tcp_deployment_flattens_each_program_once() {
+    let (session, pipeline) = isp_session();
+    let deployment = deploy_tcp(session, 64, DeployOptions::default()).expect("tcp deploy");
+    assert_one_flatten_per_novel_program(deployment, pipeline);
 }
 
 /// The framed TCP transport carries the full protocol end to end: commits,

@@ -1,19 +1,23 @@
 //! Protocol-level tests of the distribution plane: two-phase commit
-//! atomicity, abort-and-resync recovery, late-joining agents, order resets
-//! and state-table migration between agents.
+//! atomicity, abort-and-resync recovery, late-joining agents, order resets,
+//! state-table migration between agents, and the soundness of the program
+//! cache agents share.
 
 use snap_core::SolverChoice;
 use snap_distrib::{
-    channel_link, deploy_in_process, Controller, DistribError, FromAgent, PrepareMsg, ReplyTx,
-    SwitchAgent, SwitchMeta, ToAgent,
+    channel_link, deploy_in_process, AgentEndpoint, Controller, DistribError, FromAgent,
+    PrepareMsg, ProgramCache, ReplyTx, SwitchAgent, SwitchMeta, ToAgent, TransportError,
 };
 use snap_lang::prelude::*;
 use snap_session::CompilerSession;
 use snap_topology::{generators::campus, PortId, TrafficMatrix};
-use snap_xfdd::{encode_delta, Pool, VarOrder};
+use snap_xfdd::{
+    apply_delta, decode_delta_fresh, encode_delta, FlatProgram, NodeId as PoolNodeId, Pool,
+    VarOrder,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn campus_session() -> CompilerSession {
@@ -537,4 +541,148 @@ fn distributed_hop_budget_is_configurable_and_enforced() {
         snap_distrib::InjectError::Sim(snap_dataplane::SimError::HopBudgetExceeded)
     );
     deployment.shutdown();
+}
+
+/// An agent endpoint that logs every prepare it delivers, so a test can
+/// replay the payloads into its own replica of the agent's mirror.
+struct Recording<E> {
+    inner: E,
+    prepares: Arc<Mutex<Vec<PrepareMsg>>>,
+}
+
+impl<E: AgentEndpoint> AgentEndpoint for Recording<E> {
+    fn recv(&self) -> Result<ToAgent, TransportError> {
+        let msg = self.inner.recv()?;
+        if let ToAgent::Prepare(prep) = &msg {
+            self.prepares.lock().unwrap().push((**prep).clone());
+        }
+        Ok(msg)
+    }
+
+    fn send(&self, msg: FromAgent) -> Result<(), TransportError> {
+        self.inner.send(msg)
+    }
+}
+
+/// A controller over campus with one agent (on `C1`) that stages through
+/// `cache`, and the agent's recorded prepares.
+struct CachedRig {
+    controller: Controller,
+    agent: Arc<SwitchAgent>,
+    prepares: Arc<Mutex<Vec<PrepareMsg>>>,
+    handle: std::thread::JoinHandle<()>,
+}
+
+impl CachedRig {
+    fn new(cache: &Arc<ProgramCache>) -> CachedRig {
+        let session = campus_session();
+        let switch = session.topology().node_by_name("C1").unwrap();
+        let mut controller = Controller::new(session);
+        let agent =
+            Arc::new(SwitchAgent::new(switch, "C1", [], 64).with_program_cache(Arc::clone(cache)));
+        let (ctrl_end, agent_end) = channel_link(controller.reply_sender());
+        let prepares = Arc::new(Mutex::new(Vec::new()));
+        let endpoint = Recording {
+            inner: agent_end,
+            prepares: Arc::clone(&prepares),
+        };
+        let runner = Arc::clone(&agent);
+        let handle = std::thread::spawn(move || runner.run(endpoint));
+        controller.attach(switch, Box::new(ctrl_end));
+        CachedRig {
+            controller,
+            agent,
+            prepares,
+            handle,
+        }
+    }
+
+    /// Replay every recorded payload into a fresh replica of the agent's
+    /// mirror: the program its current view must be, and its root id.
+    fn expected(&self) -> (FlatProgram, PoolNodeId) {
+        let mut replica: Option<(Pool, PoolNodeId)> = None;
+        for prep in self.prepares.lock().unwrap().iter() {
+            replica = Some(if prep.resync {
+                decode_delta_fresh(&prep.delta).unwrap()
+            } else {
+                let (mut pool, _) = replica.take().expect("a delta follows a resync");
+                let root = apply_delta(&prep.delta, &mut pool).unwrap();
+                (pool, root)
+            });
+        }
+        let (pool, root) = replica.expect("the agent was synced");
+        (FlatProgram::from_pool(&pool, root), root)
+    }
+
+    /// The agent's current program matches its own mirror's flatten, both
+    /// structurally and on packets from every ingress port, and forwards
+    /// port 1's traffic to `egress`. Returns the mirror's root id.
+    fn check_view(&self, egress: i64) -> PoolNodeId {
+        let (expected, root) = self.expected();
+        let view = self.agent.current_view().unwrap();
+        assert_eq!(
+            format!("{:?}", view.flat),
+            format!("{expected:?}"),
+            "staged program differs from the agent's own mirror at root {root:?}"
+        );
+        let store = Store::new();
+        for port in 1..=6 {
+            let pkt = Packet::new().with(Field::InPort, port);
+            let want = expected.evaluate(&pkt, &store).unwrap();
+            assert_eq!(view.flat.evaluate(&pkt, &store).unwrap(), want);
+            assert_eq!(
+                view.tables.evaluate(&view.flat, &pkt, &store).unwrap(),
+                want
+            );
+        }
+        let pkt = Packet::new().with(Field::InPort, 1);
+        let (out, _) = view.flat.evaluate(&pkt, &store).unwrap();
+        let out: Vec<_> = out.iter().map(|p| p.get(&Field::OutPort)).collect();
+        assert_eq!(out, vec![Some(&Value::Int(egress))]);
+        root
+    }
+
+    fn shutdown(mut self) {
+        self.controller.shutdown();
+        self.handle.join().unwrap();
+    }
+}
+
+/// Agents sharing one program cache are only ever served a program their
+/// own mirror would produce, even where the same root id names different
+/// programs: two controllers in one process, and a compaction that
+/// renumbers a pool and resyncs its agent.
+#[test]
+fn shared_program_cache_never_serves_another_mirrors_program() {
+    let cache = Arc::new(ProgramCache::new());
+    let mut a = CachedRig::new(&cache);
+    let mut b = CachedRig::new(&cache);
+
+    // Same shape, different egress: both bootstrap fresh pools in which
+    // the same root id names two different programs.
+    a.controller.update_policy(&counting_policy(6)).unwrap();
+    b.controller.update_policy(&counting_policy(1)).unwrap();
+    let root_a = a.check_view(6);
+    let root_b = b.check_view(1);
+    assert_eq!(
+        root_a, root_b,
+        "the two mirrors must collide on the root id"
+    );
+
+    // Grow a's pool, then compact it: the renumbered pool puts the live
+    // program at the root id its first program had, and the next update
+    // resyncs the agent onto that numbering.
+    a.controller.update_policy(&counting_policy(3)).unwrap();
+    a.check_view(3);
+    assert!(a.controller.compact_distribution() > 0);
+    let report = a.controller.update_policy(&counting_policy(3)).unwrap();
+    assert_eq!(report.resyncs, 1);
+    let root_compacted = a.check_view(3);
+    assert_eq!(
+        root_compacted, root_a,
+        "the compacted pool must reuse a pre-compaction root id"
+    );
+
+    a.shutdown();
+    b.shutdown();
 }
